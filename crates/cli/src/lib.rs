@@ -511,19 +511,9 @@ fn run_session_script(
 
     let mut declared: BTreeSet<DataRoleName> = BTreeSet::new();
     let parse_axiom = |stmt: &str, declared: &BTreeSet<DataRoleName>, lineno: usize| {
-        let mut src = String::new();
-        if !declared.is_empty() {
-            src.push_str("DataRole:");
-            for u in declared {
-                src.push(' ');
-                src.push_str(u.as_str());
-            }
-            src.push('\n');
-        }
-        src.push_str(stmt);
-        let kb =
-            parse_kb4(&src).map_err(|e| CliError::Parse(format!("script line {lineno}: {e}")))?;
-        match kb.axioms() {
+        let axioms = shoin4::parser4::parse_statement(stmt, declared)
+            .map_err(|e| CliError::Parse(format!("script line {lineno}: {e}")))?;
+        match axioms.as_slice() {
             [ax] => Ok(ax.clone()),
             other => Err(CliError::Parse(format!(
                 "script line {lineno}: expected one axiom, got {}",

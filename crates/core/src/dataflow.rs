@@ -403,15 +403,10 @@ impl ModuleExtractor {
         &self.images[i]
     }
 
-    /// The classical induced KB of a module — what a scoped tableau
-    /// engine loads.
-    pub fn induced_module_kb(&self, module: &Module) -> KnowledgeBase {
-        KnowledgeBase::from_axioms(
-            module
-                .axioms
-                .iter()
-                .flat_map(|&i| self.images[i].iter().cloned()),
-        )
+    /// The classical induced KB of a module, given by its member axiom
+    /// ids — what a module's tableau engine loads.
+    pub fn induced_module_kb(&self, axioms: &BTreeSet<usize>) -> KnowledgeBase {
+        KnowledgeBase::from_axioms(axioms.iter().flat_map(|&i| self.images[i].iter().cloned()))
     }
 
     /// Extract the module for a seed signature (the `⊤`-locality
@@ -778,7 +773,7 @@ mod tests {
              y : C");
         let ex = ModuleExtractor::new(&kb);
         let m = ex.extract(&seed_of(&["B"]));
-        let induced = ex.induced_module_kb(&m);
+        let induced = ex.induced_module_kb(&m.axioms);
         assert_eq!(induced.len(), 2);
         let printed = dl::printer::print_kb(&induced);
         assert!(printed.contains("A+ SubClassOf B+"), "{printed}");

@@ -25,7 +25,9 @@
 //! 4. [`induced`] — the model correspondences of Definitions 8–9 that
 //!    prove the translation faithful (Lemma 5 / Theorem 6);
 //! 5. [`reasoner4`] — paraconsistent reasoning services executed by the
-//!    classical [`tableau`] reasoner via Corollary 7.
+//!    classical [`tableau`] reasoner via Corollary 7, routed through the
+//!    same told → Horn → module → tableau pipeline as the mutable
+//!    [`incremental::Session`].
 //!
 //! # Example (the paper's Example 1)
 //!
@@ -61,6 +63,7 @@ pub mod interp4;
 pub mod json;
 pub mod kb4;
 pub mod parser4;
+mod pipeline;
 pub mod printer4;
 pub mod reasoner4;
 pub mod serve;

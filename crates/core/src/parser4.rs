@@ -21,8 +21,10 @@
 
 use crate::inclusion::InclusionKind;
 use crate::kb4::{Axiom4, KnowledgeBase4};
+use dl::name::DataRoleName;
 use dl::parser::{parse_kb, ParseError};
 use dl::Axiom;
+use std::collections::BTreeSet;
 
 fn adjust_line(mut e: ParseError, actual_line: usize) -> ParseError {
     e.line = actual_line;
@@ -192,6 +194,27 @@ pub fn parse_kb4(input: &str) -> Result<KnowledgeBase4, ParseError> {
     Ok(KnowledgeBase4::from_axioms(axioms))
 }
 
+/// Parse one statement line under the `DataRole:` declarations made so
+/// far (a data role only parses as one after its declaration). Returns
+/// every axiom the line yields; callers that expect exactly one check
+/// the count themselves.
+pub fn parse_statement(
+    stmt: &str,
+    declared: &BTreeSet<DataRoleName>,
+) -> Result<Vec<Axiom4>, ParseError> {
+    let mut src = String::new();
+    if !declared.is_empty() {
+        src.push_str("DataRole:");
+        for u in declared {
+            src.push(' ');
+            src.push_str(u.as_str());
+        }
+        src.push('\n');
+    }
+    src.push_str(stmt);
+    Ok(parse_kb4(&src)?.axioms().to_vec())
+}
+
 /// Find a keyword as a whitespace-delimited token, returning its byte
 /// offset.
 fn find_keyword(line: &str, kw: &str) -> Option<usize> {
@@ -307,6 +330,28 @@ mod tests {
             panic!()
         };
         assert!(matches!(rhs, Concept::DataSome(..)));
+    }
+
+    #[test]
+    fn parse_statement_applies_declarations_and_returns_every_axiom() {
+        let declared: BTreeSet<DataRoleName> = [DataRoleName::new("age")].into();
+        // Only the declaration makes `age min 1` a datatype restriction.
+        let stmt = "Adult MaterialSubClassOf age min 1";
+        for (decls, data) in [(declared.clone(), true), (BTreeSet::new(), false)] {
+            let axioms = parse_statement(stmt, &decls).unwrap();
+            let [Axiom4::ConceptInclusion(_, _, rhs)] = axioms.as_slice() else {
+                panic!("expected one inclusion, got {axioms:?}")
+            };
+            assert_eq!(matches!(rhs, Concept::DataAtLeast(1, _)), data, "{rhs:?}");
+        }
+        // Blank and comment lines yield no axiom; `EquivalentTo` two.
+        assert!(parse_statement("# note", &declared).unwrap().is_empty());
+        assert_eq!(
+            parse_statement("A EquivalentTo B", &declared)
+                .unwrap()
+                .len(),
+            2
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::hardness;
 use crate::horn::HornProgram;
 use crate::incremental::Session;
 use crate::kb4::{Axiom4, KnowledgeBase4};
-use crate::parser4::parse_kb4;
+use crate::parser4::{parse_kb4, parse_statement};
 use dl::axiom::{Axiom, RoleExpr};
 use dl::name::{DataRoleName, IndividualName, RoleName};
 use dl::Concept;
@@ -414,18 +414,8 @@ pub struct Request {
 }
 
 fn parse_axiom_line(stmt: &str, declared: &BTreeSet<DataRoleName>) -> Result<Axiom4, ServeError> {
-    let mut src = String::new();
-    if !declared.is_empty() {
-        src.push_str("DataRole:");
-        for r in declared {
-            src.push(' ');
-            src.push_str(r.as_ref());
-        }
-        src.push('\n');
-    }
-    src.push_str(stmt);
-    let kb = parse_kb4(&src).map_err(|e| ServeError::Parse(e.to_string()))?;
-    let mut axioms = kb.axioms().to_vec();
+    let mut axioms =
+        parse_statement(stmt, declared).map_err(|e| ServeError::Parse(e.to_string()))?;
     if axioms.len() != 1 {
         return Err(ServeError::Parse(format!(
             "expected exactly one axiom, got {}",

@@ -29,9 +29,9 @@ use ontogen::modular::ModularParams;
 use ontogen::random::{random_kb4, RandomParams};
 use proptest::prelude::*;
 use shoin4::reasoner4::QueryOptions;
-use shoin4::{Axiom4, KnowledgeBase4, Reasoner4, Session};
+use shoin4::{Axiom4, InclusionKind, KnowledgeBase4, Reasoner4, Session};
 use std::time::Duration;
-use tableau::Config;
+use tableau::{Config, Stats};
 
 fn small_params(seed: u64) -> RandomParams {
     RandomParams {
@@ -252,6 +252,83 @@ proptest! {
                 seed
             );
         }
+    }
+}
+
+/// One request sequence through a query front (`Session` or
+/// `Reasoner4`): satisfiability, the membership grid, every role query
+/// and atomic inclusions of all three kinds. Each answer is rendered
+/// with `Debug`, so budget errors compare too.
+macro_rules! run_requests {
+    ($front:expr, $kb:expr) => {{
+        let (front, kb) = ($front, $kb);
+        let sig = kb.signature();
+        let mut out = vec![format!("{:?}", front.is_satisfiable())];
+        for (a, c) in signature_grid(kb) {
+            out.push(format!("{:?}", front.query(&a, &c)));
+        }
+        for r in &sig.roles {
+            for a in &sig.individuals {
+                for b in &sig.individuals {
+                    out.push(format!("{:?}", front.query_role(r, a, b)));
+                }
+            }
+        }
+        for lhs in sig.concepts.iter().take(3) {
+            for rhs in sig.concepts.iter().take(3) {
+                for kind in [
+                    InclusionKind::Internal,
+                    InclusionKind::Material,
+                    InclusionKind::Strong,
+                ] {
+                    let ax = Axiom4::ConceptInclusion(
+                        kind,
+                        Concept::atomic(lhs.clone()),
+                        Concept::atomic(rhs.clone()),
+                    );
+                    out.push(format!("{:?}", front.entails(&ax)));
+                }
+            }
+        }
+        out
+    }};
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Session` and a module-scoped `Reasoner4` are two fronts over one
+    /// query pipeline: on an unmutated KB the same request sequence
+    /// gives the same verdicts and the same counters, field by field,
+    /// except the extraction wall time.
+    #[test]
+    fn unmutated_session_and_scoped_reasoner_share_one_pipeline(seed in 0..4096u64) {
+        let kb = random_kb4(&small_params(seed), (0.3, 0.4, 0.3));
+        let session = Session::new(&kb, config());
+        let scoped = Reasoner4::with_config(
+            &kb,
+            Config {
+                module_scoping: true,
+                ..config()
+            },
+        );
+        let (s_answers, r_answers) = (run_requests!(&session, &kb), run_requests!(&scoped, &kb));
+        if s_answers.iter().chain(&r_answers).any(|a| a.starts_with("Err")) {
+            // Time budget exhausted: skip the pathological seed.
+            return Ok(());
+        }
+        prop_assert_eq!(s_answers, r_answers, "verdicts diverged (seed {})", seed);
+        let untimed = |s: Stats| Stats {
+            module_extraction_ns: 0,
+            ..s
+        };
+        prop_assert_eq!(
+            untimed(session.stats()),
+            untimed(scoped.stats()),
+            "stats diverged (seed {})",
+            seed
+        );
+        prop_assert!(session.stats().scoped_queries > 0, "nothing extracted (seed {})", seed);
     }
 }
 

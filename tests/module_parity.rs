@@ -135,6 +135,25 @@ proptest! {
         let stats = scoped.stats();
         prop_assert!(stats.scoped_queries > 0, "scoping never engaged (seed {})", seed);
         prop_assert_eq!(plain.stats().scoped_queries, 0);
+        // The default reasoner (Horn on, unscoped) extracts modules for
+        // its Horn route only, and counts none of them as scoped work.
+        let default = Reasoner4::with_config(
+            &kb,
+            Config {
+                time_budget: Some(Duration::from_millis(300)),
+                ..Config::default()
+            },
+        );
+        for (a, c) in signature_grid(&kb) {
+            if default.query(&a, &c).is_err() {
+                return Ok(());
+            }
+        }
+        let stats = default.stats();
+        prop_assert_eq!(stats.scoped_queries, 0);
+        prop_assert_eq!(stats.engine_cache_hits, 0);
+        prop_assert_eq!(stats.engine_cache_misses, 0);
+        prop_assert_eq!(stats.module_extraction_ns, 0);
     }
 }
 
